@@ -39,6 +39,7 @@ import (
 
 	"mcpat"
 	"mcpat/internal/cliutil"
+	"mcpat/internal/explore"
 )
 
 func main() {
@@ -71,16 +72,9 @@ func main() {
 		defer closeCache()
 	}
 
-	var obj mcpat.DSEObjective
-	switch *objName {
-	case "throughput":
-		obj = mcpat.MaxThroughput
-	case "perf/watt":
-		obj = mcpat.MaxPerfPerWatt
-	case "ed2ap":
-		obj = mcpat.MinED2AP
-	default:
-		cliutil.Usagef("mcpat-dse", "unknown objective %q", *objName)
+	obj, err := explore.ParseObjective(*objName)
+	if err != nil {
+		cliutil.Usagef("mcpat-dse", "%v", err)
 	}
 
 	searchKind, err := mcpat.ParseDSESearchKind(*search)

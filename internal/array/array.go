@@ -21,6 +21,7 @@ import (
 
 	"mcpat/internal/circuit"
 	"mcpat/internal/guard"
+	"mcpat/internal/memo"
 	"mcpat/internal/power"
 	"mcpat/internal/tech"
 )
@@ -187,19 +188,55 @@ func (cfg *Config) validate() (totalBits, wordBits int, err error) {
 //
 // Successful solves are memoized in a process-wide, concurrency-safe
 // cache keyed by the canonical form of cfg plus the technology node's
-// value fingerprint (see memo.go); repeated and concurrent solves of the
-// same structure share one synthesis. Cached results are bit-identical
-// to uncached ones. Stats/ResetCache/SetCacheEnabled control the cache.
+// value fingerprint (see key.go); repeated and concurrent solves of the
+// same structure share one synthesis. The internal optimizer enumerates
+// every organization per solve, and chip-level sweeps re-solve the same
+// L1s, TLBs, ROBs and MSHRs for every candidate. Cached results are
+// bit-identical to uncached ones, and every caller receives its own
+// copy. Stats/ResetCache/SetCacheEnabled control the cache.
 func New(cfg Config) (*Result, error) {
 	totalBits, wordBits, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	if !CacheEnabled() {
-		memo.bypassed.Add(1)
+	return solves.Do(canonicalKey(&cfg, wordBits), diskCodec, func() (*Result, error) {
 		return synthesize(cfg, totalBits, wordBits)
+	})
+}
+
+var (
+	group  = memo.NewGroup(1)
+	solves = memo.New[Key](group, 0, (*Result).clone)
+)
+
+// CacheStats is a snapshot of the synthesis-cache counters.
+type CacheStats = memo.Stats
+
+// Stats returns the current global cache counters.
+func Stats() CacheStats { return group.Stats(0) }
+
+// ResetCache drops every cached result and zeroes the counters. Solves
+// in flight finish for their own callers but publish nowhere, so the
+// first solve after a reset synthesizes afresh.
+func ResetCache() { group.Reset() }
+
+// SetCacheEnabled turns result caching on or off (it is on by default)
+// and returns the previous setting. Disabling does not drop resident
+// entries; combine with ResetCache for a cold, cache-free run.
+func SetCacheEnabled(enabled bool) bool { return group.SetEnabled(enabled) }
+
+// CacheEnabled reports whether synthesis results are being cached.
+func CacheEnabled() bool { return group.Enabled() }
+
+// clone returns a copy of the result safe to hand to a caller that may
+// mutate it. Tag is the only pointer field, and tag arrays never nest.
+func (r *Result) clone() *Result {
+	cp := *r
+	if r.Tag != nil {
+		tag := *r.Tag
+		cp.Tag = &tag
 	}
-	return cachedSynthesize(cfg, totalBits, wordBits)
+	return &cp
 }
 
 // synthesize dispatches one real (uncached) synthesis of a validated

@@ -104,19 +104,3 @@ func canonicalKey(cfg *Config, wordBits int) Key {
 	}
 	return k
 }
-
-// shard maps the key onto a cache shard with a cheap mix of the fields
-// most likely to differ between concurrently solved structures.
-func (k *Key) shard() uint64 {
-	h := k.TechFP
-	h = h*31 + uint64(k.Bytes)
-	h = h*31 + uint64(k.Entries)
-	h = h*31 + uint64(k.EntryBits)
-	h = h*31 + uint64(k.WordBits)
-	h = h*31 + uint64(k.Assoc)
-	h = h*31 + uint64(k.Banks)
-	h = h*31 + uint64(k.RWPorts+k.RdPorts<<8+k.WrPorts<<16+k.SearchPorts<<24)
-	h = h*31 + uint64(k.CellKind)
-	h ^= h >> 33
-	return h
-}

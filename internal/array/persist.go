@@ -6,15 +6,14 @@ import (
 	"encoding/gob"
 	"math"
 
-	"mcpat/internal/persist"
+	"mcpat/internal/memo"
 )
 
 // Disk tier of the array synthesis cache.
 //
-// The in-memory memo (memo.go) consults persist.Default() on every
-// miss, inside the single-flight owner path: memory -> disk ->
-// synthesize, with exactly one goroutine per key walking the tiers.
-// Disk entries are keyed by the canonical Key's explicit binary
+// On a memory miss the single-flight owner in internal/memo consults
+// the persistent cache through diskCodec before synthesizing. Disk
+// entries are keyed by the canonical Key's explicit binary
 // encoding (the same identity the memory tier uses: normalized config
 // plus tech-node value fingerprint) and carry the gob-serialized
 // Result. Gob preserves float64 bit patterns exactly, so a
@@ -28,6 +27,17 @@ import (
 
 // arrayNS is the disk namespace of array synthesis results.
 const arrayNS = "array.v1"
+
+// diskCodec round-trips Results through the disk tier. A payload that
+// passes the store's framing but does not decode is codec skew that
+// slipped past the namespace version: memo treats it as a miss, and
+// cold synthesis republishes the current shape.
+var diskCodec = &memo.Codec[Key, *Result]{
+	NS:     arrayNS,
+	Key:    func(k Key) []byte { return k.encodeKey() },
+	Encode: encodeResult,
+	Decode: decodeResult,
+}
 
 // encodeKey serializes the canonical Key deterministically. Explicit
 // field-by-field binary encoding (not gob, not fmt) so the on-disk
@@ -83,40 +93,4 @@ func decodeResult(data []byte) (*Result, error) {
 		return nil, err
 	}
 	return &res, nil
-}
-
-// diskLoad returns the disk tier's Result for key, or nil. Called only
-// by the single-flight owner of a memory miss.
-func diskLoad(key *Key) *Result {
-	store := persist.Default()
-	if store == nil {
-		return nil
-	}
-	data, ok := store.Get(arrayNS, key.encodeKey())
-	if !ok {
-		return nil
-	}
-	res, err := decodeResult(data)
-	if err != nil {
-		// Framing was valid but the payload does not decode: a codec
-		// version skew that slipped past the namespace version. Treat as
-		// a miss; cold synthesis will republish the current shape.
-		return nil
-	}
-	return res
-}
-
-// diskStore publishes a freshly synthesized Result to the disk tier.
-// Never fails the caller: a dropped write only costs a future process
-// one cold synthesis.
-func diskStore(key *Key, res *Result) {
-	store := persist.Default()
-	if store == nil {
-		return
-	}
-	data, err := encodeResult(res)
-	if err != nil {
-		return
-	}
-	store.Put(arrayNS, key.encodeKey(), data)
 }

@@ -7,8 +7,9 @@ import (
 	"math"
 
 	"mcpat/internal/array"
-	"mcpat/internal/component"
+	"mcpat/internal/memo"
 	"mcpat/internal/power"
+	"mcpat/internal/tech"
 )
 
 // Disk codec for synthesized shared caches (L2/L3) — the
@@ -73,15 +74,13 @@ type cacheDisk struct {
 	Cfg       Config // Tech nil'd; reattached on decode
 }
 
-// persistCodec builds the per-call codec. norm is the caller's
-// normalized config (defaults applied), whose Tech pointer Decode
-// reattaches.
-func persistCodec(key synthKey, norm Config) *component.PersistCodec {
-	return &component.PersistCodec{
+// diskCodec builds the per-call codec. node is the caller's technology
+// node, which Decode reattaches.
+func diskCodec(node *tech.Node) *memo.Codec[synthKey, *Cache] {
+	return &memo.Codec[synthKey, *Cache]{
 		NS:  cacheDiskNS,
-		Key: func() ([]byte, error) { return key.encodeKey(), nil },
-		Encode: func(v any) ([]byte, error) {
-			c := v.(*Cache)
+		Key: synthKey.encodeKey,
+		Encode: func(c *Cache) ([]byte, error) {
 			d := cacheDisk{
 				PAT: c.PAT, Data: c.Data, MSHR: c.MSHR,
 				WBBuffer: c.WBBuffer, Directory: c.Directory,
@@ -94,7 +93,7 @@ func persistCodec(key synthKey, norm Config) *component.PersistCodec {
 			}
 			return buf.Bytes(), nil
 		},
-		Decode: func(data []byte) (any, error) {
+		Decode: func(data []byte) (*Cache, error) {
 			var d cacheDisk
 			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d); err != nil {
 				return nil, err
@@ -104,7 +103,7 @@ func persistCodec(key synthKey, norm Config) *component.PersistCodec {
 				WBBuffer: d.WBBuffer, Directory: d.Directory,
 				cfg: d.Cfg,
 			}
-			c.cfg.Tech = norm.Tech
+			c.cfg.Tech = node
 			return c, nil
 		},
 	}

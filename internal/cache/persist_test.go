@@ -61,9 +61,7 @@ func TestCacheCodecRoundTripsBitIdentical(t *testing.T) {
 		if err := norm.applyDefaults(); err != nil {
 			t.Fatal(err)
 		}
-		key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: norm}
-		key.Cfg.Tech = nil
-		pc := persistCodec(key, norm)
+		pc := diskCodec(norm.Tech)
 		data, err := pc.Encode(cold)
 		if err != nil {
 			t.Fatalf("%s encode: %v", cfg.Name, err)
@@ -72,7 +70,7 @@ func TestCacheCodecRoundTripsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s decode: %v", cfg.Name, err)
 		}
-		if !reflect.DeepEqual(cold, v.(*Cache)) {
+		if !reflect.DeepEqual(cold, v) {
 			t.Errorf("%s: decoded cache differs from original", cfg.Name)
 		}
 	}
@@ -92,12 +90,9 @@ func TestCacheDiskKeyIsCanonical(t *testing.T) {
 	key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: norm}
 	key.Cfg.Tech = nil
 	key.Cfg.Name = ""
-	pc := persistCodec(key, norm)
-	k1, err := pc.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, _ := pc.Key()
+	pc := diskCodec(norm.Tech)
+	k1 := pc.Key(key)
+	k2 := pc.Key(key)
 	if !bytes.Equal(k1, k2) {
 		t.Fatal("key encoding is not deterministic")
 	}

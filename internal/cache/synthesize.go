@@ -11,6 +11,8 @@ type synthKey struct {
 	Cfg    Config
 }
 
+var caches = component.NewCache[synthKey, *Cache](component.KindCache)
+
 // Synthesize is the memoized front of New: repeated synthesis of an
 // equivalent cache configuration returns the one shared *Cache instance.
 // The result must be treated as immutable (Report, AccessTime and Cfg
@@ -33,7 +35,7 @@ func Synthesize(cfg Config) (*Cache, error) {
 	// The disk tier (active only when a persistent cache directory is
 	// configured) round-trips the synthesized cache through the codec in
 	// persist.go; norm supplies the *tech.Node to reattach on decode.
-	return component.MemoizePersist(component.KindCache, key, persistCodec(key, norm), func() (*Cache, error) {
+	return caches.Do(key, diskCodec(norm.Tech), func() (*Cache, error) {
 		return New(cfg)
 	})
 }

@@ -366,3 +366,15 @@ func TestPeakDutyDefaults(t *testing.T) {
 		t.Errorf("L2PeakDuty=0.8 L2 peak %v should be below the 1.0 default's %v", got, defL2)
 	}
 }
+
+func TestParseInterconnectKindRoundTrips(t *testing.T) {
+	for _, k := range []InterconnectKind{NoneIC, Bus, Crossbar, Mesh, Ring} {
+		if got, err := ParseInterconnectKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseInterconnectKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	_, err := ParseInterconnectKind("torus")
+	if want := `unknown fabric "torus" (none|bus|crossbar|mesh|ring)`; err == nil || err.Error() != want {
+		t.Errorf("unknown fabric error = %v, want %q", err, want)
+	}
+}

@@ -10,6 +10,8 @@ type synthKey struct {
 	Cfg    Config
 }
 
+var networks = component.NewCache[synthKey, *Network](component.KindClock)
+
 // Synthesize is the memoized front of New: repeated synthesis of an
 // equivalent clock-network configuration returns the one shared
 // *Network instance, which must be treated as immutable. Because the
@@ -22,7 +24,7 @@ func Synthesize(cfg Config) (*Network, error) {
 	}
 	key := synthKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindClock, key, func() (*Network, error) {
+	return networks.Do(key, nil, func() (*Network, error) {
 		return New(cfg)
 	})
 }

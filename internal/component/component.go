@@ -11,8 +11,8 @@
 //   - Synthesize: config-dependent and expensive. Geometry, energies and
 //     leakage are solved once per distinct configuration (what core.New,
 //     cache.New, the interconnect constructors, mc.New and clock.New do).
-//     Synthesis results are memoized process-wide (see Memoize), keyed by
-//     a canonical config value plus the technology node's fingerprint.
+//     Synthesis results are memoized process-wide (see NewCache), keyed
+//     by a canonical config value plus the technology node's fingerprint.
 //
 //   - Score: cheap and pure. A synthesized component maps an Assignment —
 //     the peak (TDP) and runtime activity it is driven with — to a report
@@ -26,11 +26,14 @@
 // than from any sweep-specific logic.
 package component
 
-import "mcpat/internal/power"
+import (
+	"mcpat/internal/memo"
+	"mcpat/internal/power"
+)
 
 // Kind identifies the subsystem family a synthesized component belongs
-// to. The memo layer keeps per-kind reuse counters so sweeps can report
-// which subsystems were actually re-synthesized.
+// to. The subsystem cache keeps per-kind reuse counters so sweeps can
+// report which subsystems were actually re-synthesized.
 type Kind uint8
 
 const (
@@ -105,3 +108,100 @@ type Assignment struct {
 type Component interface {
 	Score(a Assignment) *power.Item
 }
+
+// Subsystem-level memoized synthesis: the layer above internal/array's
+// result cache, on the same internal/memo mechanism. Whole synthesized
+// subsystems are cached (a core with its twenty arrays, a banked cache,
+// a router), so a DSE candidate that shares a subsystem configuration
+// with an earlier candidate skips that synthesis entirely - it does not
+// even consult the array cache - and a sweep that varies only NoC
+// parameters re-synthesizes fabrics and clocks but never cores or
+// caches.
+//
+// Two things differ from the array tier, both deliberately:
+//
+//   - Values are shared, not cloned. Synthesized subsystems are
+//     immutable after construction (the Score phase is pure), so a hit
+//     returns the one instance the real synthesis produced and costs a
+//     map lookup however expensive the subsystem was to build.
+//
+//   - Each subsystem package owns its canonical key type (its
+//     normalized Config with Tech and Name cleared, plus the tech.Node
+//     value fingerprint), because only it knows which fields its
+//     constructor reads. Two configs that can synthesize different
+//     results must key differently; Name never keys.
+var group = memo.NewGroup(NumKinds)
+
+// NewCache returns a subsystem cache whose counters report under kind.
+// Values are shared: callers must treat them as immutable. Call it at
+// package initialization; every cache lives for the process.
+func NewCache[K comparable, V any](kind Kind) *memo.Cache[K, V] {
+	return memo.New[K, V](group, int(kind), nil)
+}
+
+// KindStats is the counter snapshot for one component kind. The
+// fields mean what they do in memo.Stats.
+type KindStats struct {
+	Hits, Misses, Shared, Bypassed uint64
+}
+
+// CacheStats is a snapshot of the subsystem synthesis-cache counters,
+// broken down by component kind.
+type CacheStats struct {
+	// Kinds holds per-kind counters indexed by Kind.
+	Kinds [NumKinds]KindStats
+	// Entries is the number of resident cached subsystems (a gauge, not
+	// a counter; Delta keeps the newer snapshot's value).
+	Entries int
+}
+
+// Total sums the per-kind counters; its Entries is s.Entries.
+func (s CacheStats) Total() memo.Stats {
+	t := memo.Stats{Entries: s.Entries}
+	for _, k := range s.Kinds {
+		t.Hits += k.Hits
+		t.Misses += k.Misses
+		t.Shared += k.Shared
+		t.Bypassed += k.Bypassed
+	}
+	return t
+}
+
+// HitRate returns the fraction of cache-served syntheses among all
+// syntheses that consulted the cache.
+func (s CacheStats) HitRate() float64 { return s.Total().HitRate() }
+
+// Delta returns the counter difference s - prev, for reporting one
+// sweep's cache behavior. Entries is carried from s unchanged.
+func (s CacheStats) Delta(prev CacheStats) CacheStats {
+	d := CacheStats{Entries: s.Entries}
+	for i, k := range s.Kinds {
+		p := prev.Kinds[i]
+		d.Kinds[i] = KindStats{k.Hits - p.Hits, k.Misses - p.Misses, k.Shared - p.Shared, k.Bypassed - p.Bypassed}
+	}
+	return d
+}
+
+// Stats returns the current global cache counters.
+func Stats() CacheStats {
+	var s CacheStats
+	for i := range s.Kinds {
+		t := group.Stats(i)
+		s.Kinds[i] = KindStats{t.Hits, t.Misses, t.Shared, t.Bypassed}
+		s.Entries += t.Entries
+	}
+	return s
+}
+
+// ResetCache drops every cached subsystem and zeroes the counters.
+// Syntheses in flight finish for their own callers but publish nowhere,
+// so the first build after a reset synthesizes afresh.
+func ResetCache() { group.Reset() }
+
+// SetCacheEnabled turns subsystem-result caching on or off (it is on by
+// default) and returns the previous setting. Disabling does not drop
+// resident entries; combine with ResetCache for a cold, cache-free run.
+func SetCacheEnabled(enabled bool) bool { return group.SetEnabled(enabled) }
+
+// CacheEnabled reports whether synthesized subsystems are being cached.
+func CacheEnabled() bool { return group.Enabled() }

@@ -18,6 +18,8 @@ type synthKey struct {
 	Cfg    Config
 }
 
+var cores = component.NewCache[synthKey, *Core](component.KindCore)
+
 // Synthesize is the memoized front of New: repeated synthesis of an
 // equivalent core configuration returns the one shared *Core instance.
 // The result must be treated as immutable (Report and Timings already
@@ -30,7 +32,7 @@ func Synthesize(cfg Config) (*Core, error) {
 	key := synthKey{TechFP: norm.Tech.Fingerprint(), Cfg: norm}
 	key.Cfg.Tech = nil
 	key.Cfg.Name = ""
-	return component.Memoize(component.KindCore, key, func() (*Core, error) {
+	return cores.Do(key, nil, func() (*Core, error) {
 		return New(cfg)
 	})
 }

@@ -76,31 +76,6 @@ type ShardRequest struct {
 	CandidateTimeoutMS int `json:"candidate_timeout_ms,omitempty"`
 }
 
-// parseFabric maps a fabric name (the chip.InterconnectKind.String()
-// form, as used by the /v1/dse wire schema) back to its kind.
-func parseFabric(name string) (chip.InterconnectKind, error) {
-	for _, k := range []chip.InterconnectKind{chip.NoneIC, chip.Bus, chip.Crossbar, chip.Mesh, chip.Ring} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown fabric %q (none|bus|crossbar|mesh|ring)", name)
-}
-
-// parseObjective maps an objective name to the engine constant,
-// accepting both the wire aliases and the String() forms.
-func parseObjective(name string) (explore.Objective, error) {
-	switch name {
-	case "", "throughput":
-		return explore.MaxThroughput, nil
-	case "perf/watt":
-		return explore.MaxPerfPerWatt, nil
-	case "ed2ap", "1/ED2AP":
-		return explore.MinED2AP, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (throughput|perf/watt|ed2ap)", name)
-}
-
 // Spec validates the wire request and converts it to engine inputs.
 // Range-vs-space validation is left to the engine (via ShardRange), so
 // worker and coordinator reject identical ranges identically.
@@ -119,13 +94,13 @@ func (r *ShardRequest) Spec() (ShardSpec, error) {
 		CandidateTimeout: time.Duration(r.CandidateTimeoutMS) * time.Millisecond,
 	}
 	for _, name := range r.Fabrics {
-		k, err := parseFabric(name)
+		k, err := chip.ParseInterconnectKind(name)
 		if err != nil {
 			return spec, guard.Configf("dse.shard", "%v", err)
 		}
 		spec.Space.Fabrics = append(spec.Space.Fabrics, k)
 	}
-	obj, err := parseObjective(r.Objective)
+	obj, err := explore.ParseObjective(r.Objective)
 	if err != nil {
 		return spec, guard.Configf("dse.shard", "%v", err)
 	}
@@ -271,7 +246,7 @@ func toWire(c *explore.Candidate, index int) ShardCandidate {
 // String()); a corrupted name degrades to the zero kind rather than
 // failing the merge, and the property tests pin the round-trip.
 func fromWire(c *ShardCandidate) explore.Candidate {
-	k, _ := parseFabric(c.Fabric)
+	k, _ := chip.ParseInterconnectKind(c.Fabric)
 	return explore.Candidate{
 		Cores:       c.Cores,
 		L2PerCoreKB: c.L2PerCoreKB,

@@ -77,6 +77,21 @@ func (o Objective) String() string {
 	return fmt.Sprintf("Objective(%d)", int(o))
 }
 
+// ParseObjective maps an objective name to the engine constant. It
+// accepts the wire and flag aliases and every String() form; the empty
+// string selects MaxThroughput.
+func ParseObjective(name string) (Objective, error) {
+	switch name {
+	case "", "throughput":
+		return MaxThroughput, nil
+	case "perf/watt":
+		return MaxPerfPerWatt, nil
+	case "ed2ap", "1/ED2AP":
+		return MinED2AP, nil
+	}
+	return 0, fmt.Errorf("unknown objective %q (throughput|perf/watt|ed2ap)", name)
+}
+
 // Params fixes everything the space does not sweep.
 type Params struct {
 	NM      float64

@@ -176,3 +176,26 @@ func TestParseSearchKind(t *testing.T) {
 		t.Error("SearchKind strings must round-trip the flag values")
 	}
 }
+
+func TestParseObjectiveAcceptsAliasesAndStringForms(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Objective
+	}{
+		{"", MaxThroughput}, {"throughput", MaxThroughput},
+		{"perf/watt", MaxPerfPerWatt}, {"ed2ap", MinED2AP},
+	} {
+		if got, err := ParseObjective(tc.in); err != nil || got != tc.want {
+			t.Errorf("ParseObjective(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, o := range []Objective{MaxThroughput, MaxPerfPerWatt, MinED2AP} {
+		if got, err := ParseObjective(o.String()); err != nil || got != o {
+			t.Errorf("ParseObjective(%q) = %v, %v; want round trip", o.String(), got, err)
+		}
+	}
+	_, err := ParseObjective("speed")
+	if want := `unknown objective "speed" (throughput|perf/watt|ed2ap)`; err == nil || err.Error() != want {
+		t.Errorf("unknown objective error = %v, want %q", err, want)
+	}
+}

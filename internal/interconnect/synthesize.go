@@ -6,14 +6,16 @@ import "mcpat/internal/component"
 // field, so their raw values (with Tech replaced by the node's value
 // fingerprint) canonically identify a synthesis; keys do not fold zero
 // fields onto their defaults, which at worst costs one extra cache entry
-// per spelling of the same configuration, never a wrong hit. Each key is
-// a distinct struct type so the fabric families can never collide inside
-// the shared KindFabric table. Results must be treated as immutable.
+// per spelling of the same configuration, never a wrong hit. Each family
+// has its own typed cache; all four count under KindFabric. Results must
+// be treated as immutable.
 
 type routerKey struct {
 	TechFP uint64
 	Cfg    RouterConfig
 }
+
+var routers = component.NewCache[routerKey, *Router](component.KindFabric)
 
 // SynthesizeRouter is the memoized front of NewRouter.
 func SynthesizeRouter(cfg RouterConfig) (*Router, error) {
@@ -22,7 +24,7 @@ func SynthesizeRouter(cfg RouterConfig) (*Router, error) {
 	}
 	key := routerKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Router, error) {
+	return routers.Do(key, nil, func() (*Router, error) {
 		return NewRouter(cfg)
 	})
 }
@@ -32,6 +34,8 @@ type linkKey struct {
 	Cfg    LinkConfig
 }
 
+var links = component.NewCache[linkKey, *Link](component.KindFabric)
+
 // SynthesizeLink is the memoized front of NewLink.
 func SynthesizeLink(cfg LinkConfig) (*Link, error) {
 	if cfg.Tech == nil {
@@ -39,7 +43,7 @@ func SynthesizeLink(cfg LinkConfig) (*Link, error) {
 	}
 	key := linkKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	return links.Do(key, nil, func() (*Link, error) {
 		return NewLink(cfg)
 	})
 }
@@ -49,6 +53,8 @@ type busKey struct {
 	Cfg    BusConfig
 }
 
+var buses = component.NewCache[busKey, *Link](component.KindFabric)
+
 // SynthesizeBus is the memoized front of NewBus.
 func SynthesizeBus(cfg BusConfig) (*Link, error) {
 	if cfg.Tech == nil {
@@ -56,7 +62,7 @@ func SynthesizeBus(cfg BusConfig) (*Link, error) {
 	}
 	key := busKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	return buses.Do(key, nil, func() (*Link, error) {
 		return NewBus(cfg)
 	})
 }
@@ -66,6 +72,8 @@ type crossbarKey struct {
 	Cfg    CrossbarConfig
 }
 
+var crossbars = component.NewCache[crossbarKey, *Link](component.KindFabric)
+
 // SynthesizeCrossbar is the memoized front of NewCrossbar.
 func SynthesizeCrossbar(cfg CrossbarConfig) (*Link, error) {
 	if cfg.Tech == nil {
@@ -73,7 +81,7 @@ func SynthesizeCrossbar(cfg CrossbarConfig) (*Link, error) {
 	}
 	key := crossbarKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindFabric, key, func() (*Link, error) {
+	return crossbars.Do(key, nil, func() (*Link, error) {
 		return NewCrossbar(cfg)
 	})
 }

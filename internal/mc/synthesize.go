@@ -9,14 +9,15 @@ import (
 // values (with Tech replaced by the node's value fingerprint) already
 // canonically identify a synthesis; keys do not fold zero fields onto
 // their defaults, which at worst costs one extra cache entry per spelling
-// of the same configuration, never a wrong hit. Each key is a distinct
-// struct type so the three interface families can never collide inside
-// the shared KindMC table.
+// of the same configuration, never a wrong hit. Each family has its own
+// typed cache; all three count under KindMC.
 
 type mcKey struct {
 	TechFP uint64
 	Cfg    Config
 }
+
+var controllers = component.NewCache[mcKey, *Controller](component.KindMC)
 
 // Synthesize is the memoized front of New: repeated synthesis of an
 // equivalent memory-controller configuration returns the one shared
@@ -27,7 +28,7 @@ func Synthesize(cfg Config) (*Controller, error) {
 	}
 	key := mcKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (*Controller, error) {
+	return controllers.Do(key, nil, func() (*Controller, error) {
 		return New(cfg)
 	})
 }
@@ -37,6 +38,8 @@ type niuKey struct {
 	Cfg    NIUConfig
 }
 
+var nius = component.NewCache[niuKey, power.PAT](component.KindMC)
+
 // SynthesizeNIU is the memoized front of NewNIU.
 func SynthesizeNIU(cfg NIUConfig) (power.PAT, error) {
 	if cfg.Tech == nil {
@@ -44,7 +47,7 @@ func SynthesizeNIU(cfg NIUConfig) (power.PAT, error) {
 	}
 	key := niuKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (power.PAT, error) {
+	return nius.Do(key, nil, func() (power.PAT, error) {
 		return NewNIU(cfg)
 	})
 }
@@ -54,6 +57,8 @@ type pcieKey struct {
 	Cfg    PCIeConfig
 }
 
+var pcies = component.NewCache[pcieKey, power.PAT](component.KindMC)
+
 // SynthesizePCIe is the memoized front of NewPCIe.
 func SynthesizePCIe(cfg PCIeConfig) (power.PAT, error) {
 	if cfg.Tech == nil {
@@ -61,7 +66,7 @@ func SynthesizePCIe(cfg PCIeConfig) (power.PAT, error) {
 	}
 	key := pcieKey{TechFP: cfg.Tech.Fingerprint(), Cfg: cfg}
 	key.Cfg.Tech = nil
-	return component.Memoize(component.KindMC, key, func() (power.PAT, error) {
+	return pcies.Do(key, nil, func() (power.PAT, error) {
 		return NewPCIe(cfg)
 	})
 }

@@ -286,13 +286,14 @@ func (s *jobStore) requestCancel(id string) (JobStatus, bool) {
 		j.status.State = JobCanceled
 		j.status.FinishedAt = &now
 		j.status.Error = &APIError{Kind: kindCanceled, Message: "canceled before start"}
+		// User cancellation is terminal for good: journal it, before
+		// the state is visible, so the job does not resurrect on
+		// restart.
+		s.journal.ended(id, JobCanceled)
 	}
 	j.mu.Unlock()
 	if queued {
 		s.metrics.jobsCanceled.Add(1)
-		// User cancellation is terminal for good: journal it so the job
-		// does not resurrect on restart.
-		s.journal.ended(id, JobCanceled)
 	}
 	cancel()
 	return j.snapshot(), true
@@ -405,11 +406,12 @@ func (s *jobStore) finish(j *job, res *explore.Result, err error) {
 		j.status.Error = apiError(err)
 		s.metrics.jobsFailed.Add(1)
 	}
-	id, state := j.status.ID, j.status.State
-	j.mu.Unlock()
+	// Journal before the terminal state becomes visible: a client that
+	// has seen the job end must never see it resurrect on restart.
 	if journalEnd {
-		s.journal.ended(id, state)
+		s.journal.ended(j.status.ID, j.status.State)
 	}
+	j.mu.Unlock()
 }
 
 // wait blocks until every worker has exited (the base context must

@@ -9,6 +9,7 @@ import (
 	"mcpat/internal/component"
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/memo"
 	"mcpat/internal/persist"
 	"mcpat/internal/power"
 )
@@ -107,30 +108,6 @@ type DSERequest struct {
 	FailFast           bool `json:"fail_fast,omitempty"`
 }
 
-// ParseObjective maps an objective name to the engine constant. The
-// empty string selects MaxThroughput.
-func ParseObjective(name string) (explore.Objective, error) {
-	switch name {
-	case "", "throughput":
-		return explore.MaxThroughput, nil
-	case "perf/watt":
-		return explore.MaxPerfPerWatt, nil
-	case "ed2ap", "1/ED2AP":
-		return explore.MinED2AP, nil
-	}
-	return 0, fmt.Errorf("unknown objective %q (throughput|perf/watt|ed2ap)", name)
-}
-
-// ParseFabric maps a fabric name to the chip-level kind.
-func ParseFabric(name string) (chip.InterconnectKind, error) {
-	for _, k := range []chip.InterconnectKind{chip.NoneIC, chip.Bus, chip.Crossbar, chip.Mesh, chip.Ring} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown fabric %q (none|bus|crossbar|mesh|ring)", name)
-}
-
 // explore converts the wire request into engine inputs, validating the
 // enumerated fields.
 func (r *DSERequest) explore() (explore.Params, explore.Space, explore.Constraints, explore.Objective, *explore.Options, error) {
@@ -141,13 +118,13 @@ func (r *DSERequest) explore() (explore.Params, explore.Space, explore.Constrain
 		ClusterSizes: r.ClusterSizes,
 	}
 	for _, name := range r.Fabrics {
-		k, err := ParseFabric(name)
+		k, err := chip.ParseInterconnectKind(name)
 		if err != nil {
 			return p, space, explore.Constraints{}, 0, nil, err
 		}
 		space.Fabrics = append(space.Fabrics, k)
 	}
-	obj, err := ParseObjective(r.Objective)
+	obj, err := explore.ParseObjective(r.Objective)
 	if err != nil {
 		return p, space, explore.Constraints{}, 0, nil, err
 	}
@@ -207,7 +184,8 @@ type DSEFailureJSON struct {
 	Error     APIError     `json:"error"`
 }
 
-// CacheStatsJSON is the wire form of the array-synthesis cache counters.
+// CacheStatsJSON is the wire form of one synthesis-cache tier's
+// counters (the array cache, or the subsystem cache's totals).
 type CacheStatsJSON struct {
 	Hits     uint64  `json:"hits"`
 	Misses   uint64  `json:"misses"`
@@ -217,7 +195,7 @@ type CacheStatsJSON struct {
 	HitRate  float64 `json:"hit_rate"`
 }
 
-func newCacheStatsJSON(cs array.CacheStats) CacheStatsJSON {
+func newCacheStatsJSON(cs memo.Stats) CacheStatsJSON {
 	return CacheStatsJSON{
 		Hits:     cs.Hits,
 		Misses:   cs.Misses,
@@ -233,13 +211,8 @@ func newCacheStatsJSON(cs array.CacheStats) CacheStatsJSON {
 // clock) showing which whole subsystems were reused rather than
 // re-synthesized.
 type SubsysCacheStatsJSON struct {
-	Hits     uint64                   `json:"hits"`
-	Misses   uint64                   `json:"misses"`
-	Shared   uint64                   `json:"shared"`
-	Bypassed uint64                   `json:"bypassed"`
-	Entries  int                      `json:"entries"`
-	HitRate  float64                  `json:"hit_rate"`
-	Kinds    map[string]KindStatsJSON `json:"kinds"`
+	CacheStatsJSON
+	Kinds map[string]KindStatsJSON `json:"kinds"`
 }
 
 // KindStatsJSON is one component kind's share of the subsystem cache
@@ -298,15 +271,9 @@ func newDiskCacheStatsJSON(ds persist.Stats) DiskCacheStatsJSON {
 }
 
 func newSubsysCacheStatsJSON(cs component.CacheStats) SubsysCacheStatsJSON {
-	tot := cs.Total()
 	out := SubsysCacheStatsJSON{
-		Hits:     tot.Hits,
-		Misses:   tot.Misses,
-		Shared:   tot.Shared,
-		Bypassed: tot.Bypassed,
-		Entries:  cs.Entries,
-		HitRate:  cs.HitRate(),
-		Kinds:    make(map[string]KindStatsJSON),
+		CacheStatsJSON: newCacheStatsJSON(cs.Total()),
+		Kinds:          make(map[string]KindStatsJSON),
 	}
 	for i, k := range cs.Kinds {
 		if k == (component.KindStats{}) {

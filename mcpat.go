@@ -645,6 +645,8 @@ func ArraySynthCacheStats() ArrayCacheStats { return array.Stats() }
 // ResetArraySynthCache drops every cached synthesis result and zeroes
 // the counters, forcing subsequent evaluations to start cold (useful for
 // benchmarking and for bounding memory across unrelated long runs).
+// Solves in flight at the reset finish for their own callers but publish
+// nowhere.
 func ResetArraySynthCache() { array.ResetCache() }
 
 // SetArraySynthCache enables or disables synthesis-result caching (it is
@@ -704,7 +706,8 @@ func SubsysSynthCacheStats() SubsysCacheStats { return component.Stats() }
 
 // ResetSubsysSynthCache drops every cached subsystem and zeroes the
 // counters, forcing subsequent chip builds to re-synthesize (the array
-// cache underneath is independent; reset it separately).
+// cache underneath is independent; reset it separately). Syntheses in
+// flight at the reset finish for their own callers but publish nowhere.
 func ResetSubsysSynthCache() { component.ResetCache() }
 
 // SetSubsysSynthCache enables or disables subsystem-result caching (it
