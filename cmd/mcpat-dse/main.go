@@ -179,7 +179,7 @@ func main() {
 	if len(res.Failures) > 0 {
 		fmt.Printf("\n%d candidate(s) failed to evaluate:\n", len(res.Failures))
 		for _, f := range res.Failures {
-			fmt.Printf("  %s\n", firstLine(f.String()))
+			fmt.Printf("  %s\n", cliutil.FirstLine(f.String()))
 		}
 	}
 	if res.Best != nil {
@@ -273,12 +273,4 @@ func splitCSV(csv string) []string {
 		}
 	}
 	return out
-}
-
-// firstLine trims a multi-line failure (panic stacks) for terminal output.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -142,19 +142,12 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
+// isPermanent reports whether err must abort the sweep: an explicitly
+// permanent transport failure, or a config rejection — local or
+// decoded off the shard wire, which classifies the same.
 func isPermanent(err error) bool {
 	var pe *permanentError
-	if errors.As(err, &pe) {
-		return true
-	}
-	if errors.Is(err, guard.ErrConfig) {
-		return true
-	}
-	var se *ShardError
-	if errors.As(err, &se) {
-		return se.Kind == "config"
-	}
-	return false
+	return errors.As(err, &pe) || errors.Is(err, guard.ErrConfig)
 }
 
 // worker is one evaluation endpoint the coordinator can dispatch to.
@@ -170,11 +163,7 @@ func (localWorker) name() string { return "local" }
 
 func (w localWorker) run(ctx context.Context, spec ShardSpec, onProgress func(done, total int)) (*ShardResult, error) {
 	spec.SynthWorkers = w.synthWorkers
-	res, err := EvalShard(ctx, spec, onProgress)
-	if err != nil && errors.Is(err, guard.ErrConfig) {
-		return nil, &permanentError{err}
-	}
-	return res, err
+	return EvalShard(ctx, spec, onProgress)
 }
 
 // httpWorker evaluates shards on a remote mcpatd.
@@ -183,11 +172,7 @@ type httpWorker struct{ client *Client }
 func (w httpWorker) name() string { return w.client.Base }
 
 func (w httpWorker) run(ctx context.Context, spec ShardSpec, onProgress func(done, total int)) (*ShardResult, error) {
-	res, err := w.client.EvalShard(ctx, spec, onProgress)
-	if err != nil && isPermanent(err) {
-		return nil, &permanentError{err}
-	}
-	return res, err
+	return w.client.EvalShard(ctx, spec, onProgress)
 }
 
 // rng is a contiguous half-open range of enumeration indices, the unit

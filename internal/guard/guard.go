@@ -4,11 +4,13 @@
 // carrying a component path such as "core[2].ifu.btb"; a Recover boundary
 // that converts panics escaping the model internals into ErrInternal
 // values so no caller-supplied configuration can crash a host process;
-// and an output sanity pass (CheckReport) that verifies a synthesized
-// chip's numbers are physical before they are handed to a caller.
+// an output sanity pass (CheckReport) that verifies a synthesized
+// chip's numbers are physical before they are handed to a caller; and
+// Classified, the one wire form in which errors leave a process.
 package guard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -142,7 +144,92 @@ func PathOf(err error) string {
 	if errors.As(err, &ge) {
 		return ge.Path
 	}
+	var c *Classified
+	if errors.As(err, &c) {
+		return c.Path
+	}
 	return ""
+}
+
+// The kind names of the taxonomy on the wire. Timeout and canceled
+// classify the context errors of deadlines and cancellation.
+const (
+	KindConfig      = "config"
+	KindInfeasible  = "infeasible"
+	KindModelDomain = "model_domain"
+	KindTimeout     = "timeout"
+	KindCanceled    = "canceled"
+	KindInternal    = "internal"
+)
+
+// kinds pairs every wire kind with the sentinel it encodes, in
+// classification order: an error takes the kind of the first sentinel
+// it matches, and a decoded kind matches its sentinel again.
+var kinds = [...]struct {
+	name     string
+	sentinel error
+}{
+	{KindConfig, ErrConfig},
+	{KindInfeasible, ErrInfeasible},
+	{KindModelDomain, ErrModelDomain},
+	{KindTimeout, context.DeadlineExceeded},
+	{KindCanceled, context.Canceled},
+	{KindInternal, ErrInternal},
+}
+
+// Classified is the wire form of an error: its kind name, component
+// path, and headline message. It is the detail of every mcpatd error
+// body, the error of a shard stream frame, and the error of every DSE
+// report failure. Services may add transport kinds of their own
+// ("overloaded", "not_found", ...), which match no sentinel.
+type Classified struct {
+	Kind    string `json:"kind"`
+	Path    string `json:"path,omitempty"`
+	Message string `json:"message"`
+}
+
+// Classify converts any error to its wire form: the kind of the first
+// sentinel it matches (internal when none does), its component path,
+// and the first line of its message — multi-line diagnostics such as
+// recovered panic stacks belong in logs. A *Classified is returned
+// unchanged, so an error that crossed the wire re-encodes to the same
+// bytes; one wrapped with more context keeps its taxonomy kind and
+// path (through Is and PathOf) and takes the wrapper's message. A nil
+// err returns nil.
+func Classify(err error) *Classified {
+	if err == nil {
+		return nil
+	}
+	if c, ok := err.(*Classified); ok {
+		return c
+	}
+	kind := KindInternal
+	for _, k := range kinds {
+		if errors.Is(err, k.sentinel) {
+			kind = k.name
+			break
+		}
+	}
+	msg, _, _ := strings.Cut(err.Error(), "\n")
+	return &Classified{Kind: kind, Path: PathOf(err), Message: msg}
+}
+
+func (e *Classified) Error() string { return e.Message }
+
+// Is matches the sentinel the kind encodes, so errors.Is classifies a
+// decoded error exactly like the error it was encoded from.
+func (e *Classified) Is(target error) bool {
+	for _, k := range kinds {
+		if k.name == e.Kind {
+			return target == k.sentinel
+		}
+	}
+	return false
+}
+
+// ErrorBody is the envelope of every non-2xx mcpatd JSON response.
+type ErrorBody struct {
+	Error Classified `json:"error"`
 }
 
 // Recover is the panic-containment boundary of the public API. Deferred

@@ -1,6 +1,8 @@
 package guard
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -211,5 +213,61 @@ func TestCheckReportFlagsExcessLeakSaved(t *testing.T) {
 func TestCheckReportNil(t *testing.T) {
 	if ds := CheckReport(nil, nil); len(ds) != 1 {
 		t.Fatalf("nil report must yield one diagnostic, got %v", ds)
+	}
+}
+
+// TestClassifiedRoundTrip pins the wire form of the taxonomy: every
+// kind encodes under its name with the component path and first message
+// line, and the decoded value matches the same sentinel again.
+func TestClassifiedRoundTrip(t *testing.T) {
+	cases := []struct {
+		err      error
+		kind     string
+		sentinel error
+	}{
+		{Configf("core[2].ifu.btb", "bad entries %d", -1), KindConfig, ErrConfig},
+		{Infeasiblef("l2", "no organization"), KindInfeasible, ErrInfeasible},
+		{Domainf("chip", "NaN area"), KindModelDomain, ErrModelDomain},
+		{At(context.DeadlineExceeded, "dse[2c]"), KindTimeout, context.DeadlineExceeded},
+		{fmt.Errorf("sweep: %w", context.Canceled), KindCanceled, context.Canceled},
+		{Internalf("core", "recovered panic: boom\nstack"), KindInternal, ErrInternal},
+	}
+	for _, tc := range cases {
+		c := Classify(tc.err)
+		if c.Kind != tc.kind || c.Path != PathOf(tc.err) || strings.Contains(c.Message, "\n") {
+			t.Errorf("Classify(%q) = %+v, want kind %s, path %q, one line", tc.err, c, tc.kind, PathOf(tc.err))
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Classified
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		wrapped := fmt.Errorf("remote: %w", &back)
+		if !errors.Is(wrapped, tc.sentinel) {
+			t.Errorf("decoded %s does not match its sentinel", b)
+		}
+		for _, other := range cases {
+			if other.sentinel != tc.sentinel && errors.Is(&back, other.sentinel) {
+				t.Errorf("decoded %s also matches %v", b, other.sentinel)
+			}
+		}
+		if again := Classify(&back); *again != *c {
+			t.Errorf("re-classifying %s gave %+v", b, again)
+		}
+		if PathOf(wrapped) != c.Path {
+			t.Errorf("PathOf lost the decoded path %q", c.Path)
+		}
+	}
+	if Classify(nil) != nil {
+		t.Error("Classify(nil) != nil")
+	}
+	if c := Classify(errors.New("plain")); c.Kind != KindInternal {
+		t.Errorf("unclassified error got kind %q, want internal", c.Kind)
+	}
+	if errors.Is(&Classified{Kind: "overloaded"}, ErrInternal) {
+		t.Error("a transport kind must match no sentinel")
 	}
 }

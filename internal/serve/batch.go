@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"sync"
 
+	"mcpat/internal/guard"
 	"mcpat/internal/persist"
 )
 
@@ -177,10 +178,10 @@ func (s *Server) evalBatchItem(ctx context.Context, i int, item *EvaluateRequest
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			return BatchItemResult{Index: i, Error: apiError(o.err)}
+			return BatchItemResult{Index: i, Error: guard.Classify(o.err)}
 		}
 		return BatchItemResult{Index: i, Result: o.resp}
 	case <-ctx.Done():
-		return BatchItemResult{Index: i, Error: apiError(ctx.Err())}
+		return BatchItemResult{Index: i, Error: guard.Classify(ctx.Err())}
 	}
 }

@@ -1,74 +1,45 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
-	"strings"
 
 	"mcpat/internal/guard"
 )
 
 // Error kinds beyond the guard taxonomy, used for transport-level
-// failures.
+// failures, plus the taxonomy kinds the service writes itself.
 const (
 	kindBadRequest = "bad_request"
 	kindNotFound   = "not_found"
 	kindOverloaded = "overloaded"
-	kindTimeout    = "timeout"
 	kindDraining   = "draining"
-	kindCanceled   = "canceled"
-	kindInternal   = "internal"
+	kindTimeout    = guard.KindTimeout
+	kindCanceled   = guard.KindCanceled
+	kindInternal   = guard.KindInternal
 )
 
-// classify maps an evaluation error onto its HTTP status and error
-// kind. The guard taxonomy drives the mapping: caller mistakes are 4xx,
-// model bugs are 5xx.
+// httpStatus maps a classified error kind onto its HTTP status: caller
+// mistakes are 4xx, model bugs are 5xx.
 //
-//	ErrConfig      -> 400 "config"        (malformed / out-of-range input)
-//	ErrInfeasible  -> 422 "infeasible"    (well-formed, no physical solution)
-//	ErrModelDomain -> 422 "model_domain"  (outputs left the validity domain)
-//	ErrInternal    -> 500 "internal"      (contained panic / framework bug)
+//	config       -> 400 (malformed / out-of-range input)
+//	infeasible   -> 422 (well-formed, no physical solution)
+//	model_domain -> 422 (outputs left the validity domain)
+//	internal     -> 500 (contained panic / framework bug)
 //
 // Context errors from per-request deadlines and drain map to 504/503.
-func classify(err error) (status int, kind string) {
-	switch {
-	case errors.Is(err, guard.ErrConfig):
-		return http.StatusBadRequest, "config"
-	case errors.Is(err, guard.ErrInfeasible):
-		return http.StatusUnprocessableEntity, "infeasible"
-	case errors.Is(err, guard.ErrModelDomain):
-		return http.StatusUnprocessableEntity, "model_domain"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, kindTimeout
-	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, kindCanceled
+func httpStatus(kind string) int {
+	switch kind {
+	case guard.KindConfig:
+		return http.StatusBadRequest
+	case guard.KindInfeasible, guard.KindModelDomain:
+		return http.StatusUnprocessableEntity
+	case guard.KindTimeout:
+		return http.StatusGatewayTimeout
+	case guard.KindCanceled:
+		return http.StatusServiceUnavailable
 	}
-	return http.StatusInternalServerError, kindInternal
-}
-
-// apiError converts any evaluation error into the wire form, preserving
-// the guard component path and classifying the kind.
-func apiError(err error) *APIError {
-	if err == nil {
-		return nil
-	}
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae
-	}
-	_, kind := classify(err)
-	return &APIError{Kind: kind, Path: guard.PathOf(err), Message: firstLine(err.Error())}
-}
-
-// firstLine trims multi-line diagnostics (recovered panic stacks) to
-// their headline; the full trace belongs in server logs, not responses.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
+	return http.StatusInternalServerError
 }
 
 // writeJSON writes a JSON response with the given status.
@@ -88,6 +59,6 @@ func writeError(w http.ResponseWriter, status int, e *APIError) {
 // writeModelError classifies a model error and writes both status and
 // body from it.
 func writeModelError(w http.ResponseWriter, err error) {
-	status, _ := classify(err)
-	writeError(w, status, apiError(err))
+	e := guard.Classify(err)
+	writeError(w, httpStatus(e.Kind), e)
 }

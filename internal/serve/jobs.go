@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // errQueueFull is returned by submit when the bounded job queue cannot
@@ -403,7 +404,7 @@ func (s *jobStore) finish(j *job, res *explore.Result, err error) {
 		s.metrics.jobsCanceled.Add(1)
 	default:
 		j.status.State = JobFailed
-		j.status.Error = apiError(err)
+		j.status.Error = guard.Classify(err)
 		s.metrics.jobsFailed.Add(1)
 	}
 	// Journal before the terminal state becomes visible: a client that

@@ -46,7 +46,7 @@ func TestJobCancelViaDelete(t *testing.T) {
 	stub := installStubSweep(t, s)
 	defer stub.releaseAll()
 
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
@@ -77,12 +77,12 @@ func TestJobCancelWhileQueued(t *testing.T) {
 	defer stub.releaseAll()
 
 	// First job occupies the only worker.
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	blocked := decode[JobStatus](t, body).ID
 	<-stub.started
 
 	// Second job sits in the queue.
-	_, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{4}})
+	_, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{4}}})
 	queued := decode[JobStatus](t, body).ID
 
 	resp, body := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+queued, nil)
@@ -114,16 +114,16 @@ func TestJobQueueSaturation(t *testing.T) {
 	stub := installStubSweep(t, s)
 	defer stub.releaseAll()
 
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	running := decode[JobStatus](t, body).ID
 	<-stub.started // worker busy
 
-	resp, _ := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{4}})
+	resp, _ := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{4}}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queue slot should admit the second job: %d", resp.StatusCode)
 	}
 
-	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{8}})
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{8}}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue must shed with 429, got %d: %s", resp.StatusCode, body)
 	}
@@ -158,7 +158,7 @@ func TestGracefulDrain(t *testing.T) {
 	defer stub.releaseAll()
 
 	// A job is running...
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Cores: []int{2}})
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Cores: []int{2}}})
 	jobID := decode[JobStatus](t, body).ID
 	<-stub.started
 
@@ -244,9 +244,9 @@ func TestMetricsAcrossRequests(t *testing.T) {
 	cfg := tinyChip()
 	doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{Config: &cfg})
 	doJSON(t, "POST", ts.URL+"/v1/evaluate", EvaluateRequest{})
-	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
+	_, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{
 		Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"},
-	})
+	}})
 	pollJob(t, ts.URL, decode[JobStatus](t, body).ID, 60*time.Second)
 
 	after := snap()

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mcpat/internal/explore"
 )
 
 // journalPath returns a journal location inside a fresh temp dir.
@@ -21,7 +23,7 @@ func journalPath(t *testing.T) string {
 // oneCandidateSweep is a DSE request whose real sweep is a single tiny
 // candidate — fast enough that recovery tests can run it for real.
 func oneCandidateSweep() DSERequest {
-	return DSERequest{Cores: []int{1}, L2PerCoreKB: []int{64}, Fabrics: []string{"none"}}
+	return DSERequest{Sweep: explore.Sweep{Cores: []int{1}, L2PerCoreKB: []int{64}, Fabrics: []string{"none"}}}
 }
 
 func TestJournalReplaySemantics(t *testing.T) {
@@ -272,7 +274,7 @@ func TestRecoveryOfUnparseableRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DSERequest{Cores: []int{2}, Fabrics: []string{"warp-drive"}}
+	bad := DSERequest{Sweep: explore.Sweep{Cores: []int{2}, Fabrics: []string{"warp-drive"}}}
 	jl.submitted("job-bad", time.Now(), &bad)
 	jl.close()
 

@@ -14,6 +14,7 @@ import (
 	"mcpat/internal/chip"
 	"mcpat/internal/config"
 	"mcpat/internal/core"
+	"mcpat/internal/explore"
 	"mcpat/internal/guard"
 )
 
@@ -288,9 +289,9 @@ func TestRequestTimeout(t *testing.T) {
 // poll -> result.
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{
 		Cores: []int{2}, L2PerCoreKB: []int{64}, Fabrics: []string{"crossbar"},
-	})
+	}})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
 	}
@@ -370,11 +371,11 @@ func TestJobNotFound(t *testing.T) {
 
 func TestDSEBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Fabrics: []string{"hypercube"}})
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Fabrics: []string{"hypercube"}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown fabric: status %d body %s", resp.StatusCode, body)
 	}
-	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Objective: "fastest"})
+	resp, body = doJSON(t, "POST", ts.URL+"/v1/dse", DSERequest{Sweep: explore.Sweep{Objective: "fastest"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown objective: status %d body %s", resp.StatusCode, body)
 	}

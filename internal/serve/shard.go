@@ -7,6 +7,7 @@ import (
 
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 )
 
 // maxShardBodyBytes bounds POST /v1/dse/shard bodies; a shard request
@@ -106,7 +107,7 @@ func (s *Server) handleDSEShard(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		s.metrics.shardsFailed.Add(1)
-		_ = writeFrame(distrib.Frame{Type: "error", Error: distrib.WireError(err)})
+		_ = writeFrame(distrib.Frame{Type: "error", Error: guard.Classify(err)})
 		return
 	}
 	s.metrics.shardCandidates.Add(uint64(len(res.Candidates)))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mcpat/internal/distrib"
+	"mcpat/internal/explore"
 )
 
 func shardBody(t *testing.T, req distrib.ShardRequest) *bytes.Reader {
@@ -24,10 +25,12 @@ func shardBody(t *testing.T, req distrib.ShardRequest) *bytes.Reader {
 
 func shardTestRequest() distrib.ShardRequest {
 	return distrib.ShardRequest{
-		Cores:       []int{2, 4, 8},
-		L2PerCoreKB: []int{64, 128},
-		Start:       1,
-		End:         4,
+		Sweep: explore.Sweep{
+			Cores:       []int{2, 4, 8},
+			L2PerCoreKB: []int{64, 128},
+		},
+		Start: 1,
+		End:   4,
 	}
 }
 
@@ -127,7 +130,10 @@ func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
 	coordSrv := New(Config{RemoteWorkers: []string{workerTS.URL}})
 	defer coordSrv.Shutdown(context.Background())
 
-	body := `{"cores":[2,4,8],"l2_per_core_kb":[64,128]}`
+	// 16 points: at least distrib.DefaultMinShard per worker, so the
+	// coordinator seeds one range for the local engine and one for the
+	// remote instead of a single range whichever worker takes first.
+	body := `{"cores":[2,4,8,16],"l2_per_core_kb":[64,128,256,512]}`
 	rr := httptest.NewRecorder()
 	coordSrv.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/v1/dse", strings.NewReader(body)))
 	if rr.Code != http.StatusAccepted {
@@ -153,7 +159,7 @@ func TestDSEJobFansOutToRemoteWorkers(t *testing.T) {
 	if final.State != JobDone {
 		t.Fatalf("job state %s, want done (error: %+v)", final.State, final.Error)
 	}
-	if final.Result == nil || len(final.Result.Candidates) != 6 {
+	if final.Result == nil || len(final.Result.Candidates) != 16 {
 		t.Fatalf("job result missing or wrong size: %+v", final.Result)
 	}
 

@@ -187,7 +187,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		if b, merr := json.Marshal(struct {
 			Type  string   `json:"type"`
 			Error APIError `json:"error"`
-		}{Type: "error", Error: *apiError(err)}); merr == nil {
+		}{Type: "error", Error: *guard.Classify(err)}); merr == nil {
 			_, _ = w.Write(append(b, '\n'))
 		}
 		flush()

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"time"
 
 	"mcpat/internal/array"
@@ -9,6 +8,7 @@ import (
 	"mcpat/internal/component"
 	"mcpat/internal/distrib"
 	"mcpat/internal/explore"
+	"mcpat/internal/guard"
 	"mcpat/internal/memo"
 	"mcpat/internal/persist"
 	"mcpat/internal/power"
@@ -41,55 +41,23 @@ type EvaluateResponse struct {
 	Report *power.Item `json:"report"`
 }
 
-// APIError is the structured error detail inside every non-2xx body.
-type APIError struct {
-	// Kind classifies the failure: "config", "infeasible",
-	// "model_domain", "internal" (the guard taxonomy), or a transport
-	// kind ("bad_request", "not_found", "overloaded", "timeout",
-	// "draining", "canceled").
-	Kind string `json:"kind"`
-	// Path is the component path the guard error carried, e.g.
-	// "core[2].ifu.btb"; empty for transport errors.
-	Path string `json:"path,omitempty"`
-	// Message is the human-readable detail.
-	Message string `json:"message"`
-}
-
-func (e *APIError) Error() string {
-	if e.Path != "" {
-		return fmt.Sprintf("%s at %s: %s", e.Kind, e.Path, e.Message)
-	}
-	return fmt.Sprintf("%s: %s", e.Kind, e.Message)
-}
+// APIError is the structured error detail inside every non-2xx body:
+// Kind is a guard taxonomy kind ("config", "infeasible",
+// "model_domain", "timeout", "canceled", "internal") or a transport
+// kind ("bad_request", "not_found", "overloaded", "draining"); Path is
+// the component path the guard error carried, e.g. "core[2].ifu.btb".
+type APIError = guard.Classified
 
 // ErrorBody is the envelope of every non-2xx JSON response.
-type ErrorBody struct {
-	Error APIError `json:"error"`
-}
+type ErrorBody = guard.ErrorBody
 
-// DSERequest is the JSON body of POST /v1/dse: the design space, fixed
-// parameters, budget, objective, and engine options of one sweep job.
-// Zero values select the same defaults as the library engine.
+// DSERequest is the JSON body of POST /v1/dse: the sweep description
+// (design space, fixed parameters, budget, objective — the same fields
+// the shard protocol carries) plus the search strategy and engine
+// options of one sweep job. Zero values select the same defaults as
+// the library engine.
 type DSERequest struct {
-	// Fixed parameters (explore.Params).
-	NM      float64 `json:"nm,omitempty"`
-	ClockHz float64 `json:"clock_hz,omitempty"`
-	Threads int     `json:"threads,omitempty"`
-	MemBW   float64 `json:"mem_bw_bytes_per_s,omitempty"`
-
-	// Swept axes (explore.Space). Fabrics use the fabric names
-	// "none", "bus", "crossbar", "mesh", "ring".
-	Cores        []int    `json:"cores,omitempty"`
-	L2PerCoreKB  []int    `json:"l2_per_core_kb,omitempty"`
-	Fabrics      []string `json:"fabrics,omitempty"`
-	ClusterSizes []int    `json:"cluster_sizes,omitempty"`
-
-	// Budget (explore.Constraints); 0 = unconstrained.
-	MaxAreaMM2 float64 `json:"max_area_mm2,omitempty"`
-	MaxTDPW    float64 `json:"max_tdp_w,omitempty"`
-
-	// Objective: "throughput" (default), "perf/watt", or "ed2ap".
-	Objective string `json:"objective,omitempty"`
+	explore.Sweep
 
 	// Search selects the strategy: "exhaustive" (default) sweeps the
 	// full cross-product, "pareto" runs the adaptive multi-objective
@@ -111,24 +79,10 @@ type DSERequest struct {
 // explore converts the wire request into engine inputs, validating the
 // enumerated fields.
 func (r *DSERequest) explore() (explore.Params, explore.Space, explore.Constraints, explore.Objective, *explore.Options, error) {
-	p := explore.Params{NM: r.NM, ClockHz: r.ClockHz, Threads: r.Threads, MemBW: r.MemBW}
-	space := explore.Space{
-		Cores:        r.Cores,
-		L2PerCoreKB:  r.L2PerCoreKB,
-		ClusterSizes: r.ClusterSizes,
-	}
-	for _, name := range r.Fabrics {
-		k, err := chip.ParseInterconnectKind(name)
-		if err != nil {
-			return p, space, explore.Constraints{}, 0, nil, err
-		}
-		space.Fabrics = append(space.Fabrics, k)
-	}
-	obj, err := explore.ParseObjective(r.Objective)
+	p, space, cons, obj, err := r.Inputs()
 	if err != nil {
-		return p, space, explore.Constraints{}, 0, nil, err
+		return p, space, cons, obj, nil, err
 	}
-	cons := explore.Constraints{MaxAreaMM2: r.MaxAreaMM2, MaxTDP: r.MaxTDPW}
 	search, err := explore.ParseSearchKind(r.Search)
 	if err != nil {
 		return p, space, cons, obj, nil, err
@@ -349,7 +303,7 @@ func NewDSEReport(res *explore.Result, obj explore.Objective) *DSEReport {
 	for _, f := range res.Failures {
 		rep.Failures = append(rep.Failures, DSEFailureJSON{
 			Candidate: newDSECandidate(f.Candidate),
-			Error:     *apiError(f.Err),
+			Error:     *guard.Classify(f.Err),
 		})
 	}
 	return rep

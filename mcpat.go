@@ -530,6 +530,9 @@ type (
 	EvaluateResponse = serve.EvaluateResponse
 	// DSERequest is the POST /v1/dse JSON body describing one sweep.
 	DSERequest = serve.DSERequest
+	// DSESweep is the sweep description a DSERequest embeds (and the
+	// shard protocol carries): parameters, axes, budget, objective.
+	DSESweep = explore.Sweep
 	// DSEReport is the machine-readable sweep result, shared by the
 	// service's job results and mcpat-dse -json.
 	DSEReport = serve.DSEReport
