@@ -272,6 +272,8 @@ type Core struct {
 	// MMU
 	itlb *array.Result
 	dtlb *array.Result
+
+	area float64 // see Area
 }
 
 // glueLogic models the non-array, non-FU control and datapath logic of
@@ -546,6 +548,9 @@ func New(cfg Config) (*Core, error) {
 
 	// ---------------- Bypass network and pipeline registers -------------
 	c.buildBypassAndPipeline()
+	// Synthesize shares the core once New returns, so the area is
+	// settled here, before the core is published.
+	c.area = c.Report(Activity{}, Activity{}).Area
 	return c, nil
 }
 

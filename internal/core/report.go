@@ -321,8 +321,7 @@ func (c *Core) ReportIn(ar *power.Arena, peak, run Activity) *power.Item {
 	return item
 }
 
-// Area returns the core area (m^2) including layout overhead.
-func (c *Core) Area() float64 {
-	rep := c.Report(Activity{}, Activity{})
-	return rep.Area
-}
+// Area returns the core area (m^2) including layout overhead: the Area
+// of the core's report, which activity does not change, computed once by
+// New.
+func (c *Core) Area() float64 { return c.area }

@@ -50,7 +50,9 @@ type Options struct {
 	SynthWorkers int
 
 	// CandidateTimeout is the per-candidate evaluation deadline
-	// forwarded to every worker (0 = none).
+	// forwarded to every worker (0 = none). With remote workers it must
+	// be a whole number of milliseconds, the shard wire's unit; Run
+	// rejects any other value with guard.ErrConfig.
 	CandidateTimeout time.Duration
 
 	// FrontSize caps the merged Pareto archive exactly like
@@ -330,15 +332,24 @@ func Run(ctx context.Context, p explore.Params, space explore.Space, cons explor
 	if !opts.NoLocal {
 		workers = append(workers, localWorker{synthWorkers: opts.SynthWorkers})
 	}
-	for _, remote := range opts.Remotes {
-		base := NormalizeBase(remote)
+	remote := false
+	for _, r := range opts.Remotes {
+		base := NormalizeBase(r)
 		if base == "" {
 			continue
 		}
 		workers = append(workers, httpWorker{client: &Client{Base: base, HTTP: opts.HTTPClient}})
+		remote = true
 	}
 	if len(workers) == 0 {
 		return nil, guard.Configf("distrib", "no workers: NoLocal set and no remotes given")
+	}
+	// The shard wire carries the deadline in whole milliseconds: any
+	// other timeout would reach remote workers truncated, and a sweep's
+	// failures would depend on which worker evaluated each shard.
+	if t := opts.CandidateTimeout; remote && t > 0 && t%time.Millisecond != 0 {
+		return nil, guard.Configf("distrib",
+			"candidate timeout %v is not a whole number of milliseconds, the unit remote workers receive", t)
 	}
 
 	specs := explore.Enumerate(space)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,5 +96,42 @@ func TestClientPreStreamErrorKeepsClass(t *testing.T) {
 	}
 	if code := cliutil.ExitCode(err); code != cliutil.ExitConfig {
 		t.Errorf("exit code %d, want %d for %v", code, cliutil.ExitConfig, err)
+	}
+}
+
+// TestRemoteTimeoutMustBeWholeMilliseconds pins that a per-candidate
+// timeout the shard wire cannot carry exactly is a config error before
+// any shard is dispatched. The wire sends whole milliseconds, so a 1ns
+// deadline used to reach remote workers as no deadline at all: on this
+// 16-point sweep a local run reported 16 timeouts and a distributed one
+// only the local worker's share of them.
+func TestRemoteTimeoutMustBeWholeMilliseconds(t *testing.T) {
+	var dispatched atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dispatched.Add(1)
+		http.Error(w, "no shard should be dispatched", http.StatusTeapot)
+	}))
+	defer ts.Close()
+
+	space := explore.Space{
+		Cores:        []int{2, 4, 8, 16},
+		L2PerCoreKB:  []int{64, 128, 256, 512},
+		ClusterSizes: []int{1},
+	}
+	for _, timeout := range []time.Duration{time.Nanosecond, 1500 * time.Microsecond} {
+		res, err := distrib.Run(context.Background(), explore.Params{}, space, explore.Constraints{},
+			explore.MaxThroughput, &distrib.Options{Remotes: []string{ts.URL}, CandidateTimeout: timeout})
+		if !errors.Is(err, guard.ErrConfig) {
+			t.Errorf("timeout %v: err = %v, want guard.ErrConfig", timeout, err)
+		}
+		if code := cliutil.ExitCode(err); code != cliutil.ExitConfig {
+			t.Errorf("timeout %v: exit code %d, want %d", timeout, code, cliutil.ExitConfig)
+		}
+		if res != nil {
+			t.Errorf("timeout %v: rejected sweep returned a result", timeout)
+		}
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Errorf("%d shard requests reached the worker, want none", n)
 	}
 }

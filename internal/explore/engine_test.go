@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"mcpat/internal/chip"
 	"mcpat/internal/guard"
+	"mcpat/internal/power"
 )
 
 // withEvalHook installs a per-candidate evaluation hook for the duration
@@ -278,5 +280,55 @@ func TestFailureStringAndDeterministicFailureOrder(t *testing.T) {
 	}
 	if s := res.Failures[0].String(); !strings.Contains(s, "16c") {
 		t.Errorf("Failure.String should identify the design point: %q", s)
+	}
+}
+
+// TestDiagnosticPathPin pins the exact report path a sanity diagnostic
+// carries for a leaf deep in the tree, both straight from
+// guard.CheckReport and in the error text of the DSE candidate that
+// failed on it.
+func TestDiagnosticPathPin(t *testing.T) {
+	const path = "dse-16c-256kb-mesh-cl1.Cores.core.IFU.icache"
+	poison := func(rep *power.Item) {
+		rep.Find("Cores").Find("core").Find("IFU").Find("icache").SubLeak = math.NaN()
+	}
+
+	p := quickParams()
+	cfg, err := buildConfig(p, Candidate{Cores: 16, L2PerCoreKB: 256, Fabric: chip.Mesh, ClusterSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := chip.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := proc.ReportE(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison(rep)
+	ds := guard.CheckReport(rep, nil)
+	if len(ds) != 1 || ds[0].Path != path || ds[0].Field != "SubLeak" || ds[0].Msg != "NaN" {
+		t.Fatalf("diagnostics %v, want exactly one NaN SubLeak at %s", ds, path)
+	}
+
+	hook := poison
+	testReportHook.Store(&hook)
+	t.Cleanup(func() { testReportHook.Store(nil) })
+	res, err := SearchContext(context.Background(), p, singlePoint(), Constraints{}, MaxThroughput, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failures) != 1 {
+		t.Fatalf("want the poisoned candidate to fail, got %d failures", len(res.Failures))
+	}
+	f := res.Failures[0]
+	if !errors.Is(f.Err, guard.ErrModelDomain) {
+		t.Errorf("failure %v is not a model-domain error", f.Err)
+	}
+	want := "model domain violation at dse[16c-256kb-mesh-cl1]: 1 sanity violations: " +
+		path + ".SubLeak = NaN: NaN"
+	if f.Err.Error() != want {
+		t.Errorf("failure text\n %q\nwant\n %q", f.Err.Error(), want)
 	}
 }

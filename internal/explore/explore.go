@@ -36,6 +36,7 @@ import (
 	"mcpat/internal/mc"
 	"mcpat/internal/perfsim"
 	"mcpat/internal/persist"
+	"mcpat/internal/power"
 )
 
 // Space enumerates the design axes. Empty slices take single defaults.
@@ -758,12 +759,20 @@ func (e *engine) evalBatch(specs []Candidate) []outcome {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var ev *evaluator
+			defer func() { ev.stop() }()
 			for idx := range jobs {
 				if e.ctx.Err() != nil {
 					continue // drain without evaluating
 				}
+				if ev == nil {
+					ev = e.startEvaluator()
+				}
 				cand := specs[idx]
-				err := evalCandidate(e.ctx, e.o, e.p, e.cons, e.obj, &cand)
+				abandoned, err := ev.eval(e.ctx, e.o.CandidateTimeout, &cand)
+				if abandoned {
+					ev = nil
+				}
 				outs[idx] = outcome{cand: cand, err: err, ran: true}
 				e.reportProgress()
 				if err != nil && e.o.FailFast {
@@ -790,52 +799,85 @@ feed:
 	return outs
 }
 
-// evalCandidate evaluates one design point behind its own panic-recovery
-// boundary and, when timeout > 0, its own deadline. The evaluation runs
-// in a child goroutine so that cancellation and deadlines take effect
-// promptly even while the (CPU-bound) models are busy; a timed-out
-// evaluation is abandoned and its late result discarded.
-func evalCandidate(ctx context.Context, o *Options, p Params, cons Constraints, obj Objective, cand *Candidate) error {
-	cctx := ctx
-	if timeout := o.CandidateTimeout; timeout > 0 {
+// evaluator is one worker's long-lived evaluation goroutine. It keeps
+// its grown stack and its report arena across candidates, so a warm
+// candidate costs only its arithmetic. Evaluation runs off the worker
+// goroutine so that cancellation and deadlines take effect promptly even
+// while the (CPU-bound) models are busy: the worker waits on each result
+// under the sweep context and the candidate's deadline, and when either
+// fires first it abandons the evaluator and starts a fresh one for its
+// next candidate. The abandoned goroutine finishes the candidate it
+// holds, drops the late result into its buffered out channel and exits.
+type evaluator struct {
+	in  chan Candidate
+	out chan evalOut
+}
+
+type evalOut struct {
+	cand Candidate
+	err  error
+}
+
+func (e *engine) startEvaluator() *evaluator {
+	ev := &evaluator{in: make(chan Candidate, 1), out: make(chan evalOut, 1)}
+	go func() {
+		var ar power.Arena
+		for c := range ev.in {
+			err := func() (err error) {
+				defer guard.Recover(&err, c.name())
+				return evaluate(e.p, e.cons, e.obj, e.o.SynthWorkers, &ar, &c)
+			}()
+			ev.out <- evalOut{c, err}
+		}
+	}()
+	return ev
+}
+
+// stop lets the evaluator goroutine exit once it finishes the candidate
+// it holds, if any. A nil evaluator is a no-op.
+func (ev *evaluator) stop() {
+	if ev != nil {
+		close(ev.in)
+	}
+}
+
+// eval evaluates one design point on the evaluator behind its panic
+// recovery and, when timeout > 0, its own deadline. When the deadline or
+// ctx fires first, the evaluator is stopped and abandoned = true: the
+// caller must start a fresh one, and the late result is discarded.
+func (ev *evaluator) eval(ctx context.Context, timeout time.Duration, cand *Candidate) (abandoned bool, err error) {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	type evalOut struct {
-		cand Candidate
-		err  error
-	}
-	ch := make(chan evalOut, 1)
-	go func() {
-		c := *cand
-		err := func() (err error) {
-			defer guard.Recover(&err, c.name())
-			return evaluate(p, cons, obj, o.SynthWorkers, &c)
-		}()
-		ch <- evalOut{c, err}
-	}()
+	ev.in <- *cand
 	select {
-	case out := <-ch:
+	case out := <-ev.out:
 		*cand = out.cand
-		return out.err
-	case <-cctx.Done():
-		return guard.At(cctx.Err(), cand.name())
+		return false, out.err
+	case <-ctx.Done():
+		ev.stop()
+		return true, guard.At(ctx.Err(), cand.name())
 	}
 }
 
 // testEvalHook, when set, runs at the start of every candidate
 // evaluation inside the recovery boundary. Tests use it to poison or
 // stall specific candidates. Atomic because abandoned (timed-out or
-// cancelled) evaluation goroutines may still start after a test has
-// swapped the hook out.
+// cancelled) evaluators may still start after a test has swapped the
+// hook out.
 var testEvalHook atomic.Pointer[func(c *Candidate)]
+
+// testReportHook, when set, sees every candidate's TDP report before
+// the sanity guard checks it. Tests use it to poison a report node.
+var testReportHook atomic.Pointer[func(rep *power.Item)]
 
 // evaluate synthesizes and scores one design point. A nil return with
 // cand.Feasible == false means the point was legitimately rejected
 // (malformed combination or budget violation); a non-nil error is a hard
 // failure of the models themselves.
-func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand *Candidate) error {
+func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, ar *power.Arena, cand *Candidate) error {
 	if hook := testEvalHook.Load(); hook != nil {
 		(*hook)(cand)
 	}
@@ -854,11 +896,17 @@ func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand 
 		cand.Reject = err.Error()
 		return nil
 	}
-	rep, ds, err := proc.Check(nil)
+	// The reports are drawn from ar and only their numbers leave this
+	// function, so each one is reset away before the next is built.
+	ar.Reset()
+	rep, err := proc.ReportArena(nil, ar)
 	if err != nil {
 		return guard.At(err, cand.name())
 	}
-	if dErr := ds.Err(); dErr != nil {
+	if hook := testReportHook.Load(); hook != nil {
+		(*hook)(rep)
+	}
+	if dErr := guard.CheckReport(rep, nil).Err(); dErr != nil {
 		// The synthesized chip's numbers are not physical: fail loudly
 		// instead of ranking garbage.
 		return guard.At(dErr, cand.name())
@@ -886,19 +934,21 @@ func evaluate(p Params, cons Constraints, obj Objective, synthWorkers int, cand 
 		MeshDim: dim, MemBandwidth: p.MemBW, BusBytes: 16,
 	}
 	var sumPerf, logW float64
+	var stats chip.Stats
 	for _, w := range p.Workloads {
 		sim, err := perfsim.Run(m, w)
 		if err != nil {
 			return guard.Wrap(guard.ErrInternal, cand.name(), err)
 		}
-		stats := &chip.Stats{
+		stats = chip.Stats{
 			CoreRun:    sim.CoreActivity,
 			L2Reads:    sim.L2ReadsSec,
 			L2Writes:   sim.L2WritesSec,
 			NoCFlits:   sim.FabricFlits,
 			MCAccesses: sim.MemAccessesS,
 		}
-		runRep, err := proc.ReportE(stats)
+		ar.Reset()
+		runRep, err := proc.ReportArena(&stats, ar)
 		if err != nil {
 			return guard.At(err, cand.name())
 		}

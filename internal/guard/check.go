@@ -84,7 +84,8 @@ func CheckReport(rep *power.Item, opts *CheckOptions) Diagnostics {
 	}
 	o := opts.defaults()
 	var ds Diagnostics
-	checkItem(rep, rep.Name, o, &ds)
+	var names [16]string // the name stack; deeper trees spill to the heap
+	checkItem(rep, append(names[:0], rep.Name), o, &ds)
 
 	// Root-level runtime-vs-TDP bound; only meaningful when runtime
 	// statistics were applied.
@@ -119,23 +120,27 @@ func fieldsOf(it *power.Item) [6]struct {
 	}
 }
 
-func checkItem(it *power.Item, path string, o CheckOptions, ds *Diagnostics) {
+// checkItem checks it and its subtree. names holds the node names from
+// the root down to it; the dotted path is joined only for a finding, so
+// a clean tree is checked without building any strings.
+func checkItem(it *power.Item, names []string, o CheckOptions, ds *Diagnostics) {
+	add := func(field string, val float64, msg string) {
+		*ds = append(*ds, Diagnostic{Path: strings.Join(names, "."), Field: field, Value: val, Msg: msg})
+	}
 	for _, f := range fieldsOf(it) {
 		switch {
 		case math.IsNaN(f.val):
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "NaN"})
+			add(f.name, f.val, "NaN")
 		case math.IsInf(f.val, 0):
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "infinite"})
+			add(f.name, f.val, "infinite")
 		case f.val < 0:
-			*ds = append(*ds, Diagnostic{Path: path, Field: f.name, Value: f.val, Msg: "negative"})
+			add(f.name, f.val, "negative")
 		}
 	}
 	if it.LeakSaved > 0 {
 		if leak := it.SubLeak + it.GateLeak; it.LeakSaved > leak*(1+o.SumTolerance) {
-			*ds = append(*ds, Diagnostic{
-				Path: path, Field: "LeakSaved", Value: it.LeakSaved,
-				Msg: fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak),
-			})
+			add("LeakSaved", it.LeakSaved,
+				fmt.Sprintf("power-gating savings exceed total leakage %.3g W", leak))
 		}
 	}
 	if len(it.Children) > 0 {
@@ -153,15 +158,12 @@ func checkItem(it *power.Item, path string, o CheckOptions, ds *Diagnostics) {
 			// Absolute slack keeps near-zero quantities from tripping on
 			// float rounding.
 			if sum > f.val*(1+o.SumTolerance)+1e-12 {
-				*ds = append(*ds, Diagnostic{
-					Path: path, Field: f.name, Value: f.val,
-					Msg: fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum),
-				})
+				add(f.name, f.val, fmt.Sprintf("children sum to %.6g, exceeding the parent total", sum))
 			}
 		}
 	}
 	for _, c := range it.Children {
-		checkItem(c, path+"."+c.Name, o, ds)
+		checkItem(c, append(names, c.Name), o, ds)
 	}
 }
 

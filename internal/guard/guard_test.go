@@ -126,6 +126,24 @@ func TestCheckReportAcceptsHealthyTree(t *testing.T) {
 	}
 }
 
+// TestCheckReportCleanTreeAllocatesNothing pins that checking a clean
+// report builds no path strings: paths are joined only for a finding.
+func TestCheckReportCleanTreeAllocatesNothing(t *testing.T) {
+	ifu := power.NewItem("IFU").Add(
+		&power.Item{Name: "icache", Area: 0.5, PeakDynamic: 2, RuntimeDynamic: 1, SubLeak: 0.25})
+	core := &power.Item{Name: "core", Area: 2, PeakDynamic: 10, SubLeak: 1, GateLeak: 0.5}
+	core.Add(ifu)
+	tree := power.NewItem("chip").Add(core,
+		&power.Item{Name: "l2", Area: 1, PeakDynamic: 3, SubLeak: 0.5, GateLeak: 0.25})
+	tree.Rollup()
+	if ds := CheckReport(tree, nil); len(ds) != 0 {
+		t.Fatalf("clean tree flagged: %v", ds)
+	}
+	if n := testing.AllocsPerRun(100, func() { CheckReport(tree, nil) }); n != 0 {
+		t.Errorf("CheckReport on a clean tree: %v allocs, want 0", n)
+	}
+}
+
 func TestCheckReportFlagsNaNInfNegative(t *testing.T) {
 	tree := okTree()
 	tree.Children[0].Area = math.NaN()
